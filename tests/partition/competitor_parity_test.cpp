@@ -1,8 +1,8 @@
 // Golden-partition parity for the competitor schemes added after the seed:
-// UD-TPA (all three gates) and GE-FFD must keep producing the exact core
-// assignments, success flags, and probe counts captured when they landed.
+// UD-TPA (all three gates), GE-FFD and DBF-FFD must keep producing the exact
+// core assignments, success flags, and probe counts captured when they landed.
 // Catches silent drift in the diff-ordering, the min-key placement, and the
-// GE gate's accept/reject frontier.
+// accept/reject frontiers of the GE and DBF demand gates.
 //
 // Regenerate only on an intentional semantic change:
 //   MCS_COMPETITOR_REGEN=1 ./build/tests/competitor_parity_test
@@ -31,9 +31,9 @@ std::vector<std::string> load_golden() {
   return lines;
 }
 
-// Must stay in lockstep with the golden file's format and grid.  The GE-gated
-// schemes only exist at K = 2, so the K = 4 rows cover the Theorem-1 and
-// Eq. (4) gates alone.
+// Must stay in lockstep with the golden file's format and grid.  The
+// demand-gated schemes only exist at K = 2, so the K = 4 rows cover the
+// Theorem-1 and Eq. (4) gates alone.
 std::vector<std::string> run_grid() {
   std::vector<std::string> lines;
   const std::uint64_t seeds[] = {1, 2};
@@ -46,7 +46,7 @@ std::vector<std::string> run_grid() {
       const std::vector<std::string> specs =
           (K == 2)
               ? std::vector<std::string>{"UD-TPA", "UD-TPA/eq4", "UD-TPA/ge",
-                                         "GE-FFD"}
+                                         "GE-FFD", "DBF-FFD"}
               : std::vector<std::string>{"UD-TPA", "UD-TPA/eq4"};
       for (std::size_t M : cores) {
         for (double nsu : nsus) {
