@@ -1,4 +1,4 @@
-#include "mcs/partition/dbf_ffd.hpp"
+#include "mcs/partition/demand_ffd.hpp"
 
 #include <algorithm>
 #include <stdexcept>
@@ -9,26 +9,28 @@
 namespace mcs::partition {
 
 namespace {
-constexpr obs::TraceSite kPlaceSite{"dbf_ffd.place", "tasks", "cores"};
+constexpr obs::TraceSite kDbfPlaceSite{"dbf_ffd.place", "tasks", "cores"};
+constexpr obs::TraceSite kGePlaceSite{"ge_ffd.place", "tasks", "cores"};
 }  // namespace
 
-PlacementOutcome DbfFfdPartitioner::run_on(
+PlacementOutcome DemandFfdPartitioner::run_on(
     analysis::PlacementEngine& engine) const {
   const TaskSet& ts = engine.taskset();
-  const obs::ScopedSpan span(kPlaceSite, ts.size(), engine.num_cores());
+  const obs::ScopedSpan span(
+      test_ == analysis::DemandTest::kGe ? kGePlaceSite : kDbfPlaceSite,
+      ts.size(), engine.num_cores());
   if (ts.num_levels() != 2) {
     throw std::invalid_argument(
-        "DbfFfdPartitioner: requires a dual-criticality task set");
+        "DemandFfdPartitioner: requires a dual-criticality task set");
   }
-  const std::vector<std::size_t> order = order_by_contribution_
-                                             ? order_by_contribution(ts)
-                                             : order_by_max_utilization(ts);
+  const std::vector<std::size_t> order = order_by_max_utilization(ts);
   std::vector<std::size_t> members;  // reused across probes
   PlacementOutcome outcome;
-  // The DBF test works off member lists, not the utilization planes, so the
-  // fill loops cores with the scalar test (count_probe per core attempted)
-  // and early-exits at the first feasible core — the batched engine-level
-  // M-probe accounting applies only to true plane-backed batched probes.
+  // The demand tests work off member lists, not the utilization planes, so
+  // the fill loops cores with the scalar test (count_probe per core
+  // attempted) and early-exits at the first feasible core — the batched
+  // engine-level M-probe accounting applies only to true plane-backed
+  // batched probes.
   outcome.failed_task = place_in_order_batched(
       order, engine.num_cores(), SelectionRule::kFirstFeasible, 0.0,
       [&](std::size_t t, std::span<Candidate> /*candidates*/,
@@ -39,7 +41,7 @@ PlacementOutcome DbfFfdPartitioner::run_on(
           engine.count_probe();
           members = engine.partition().tasks_on(m);
           members.push_back(t);
-          if (!analysis::dbf_dual_test(ts, members, options_).schedulable) {
+          if (!analysis::demand_dual_test(test_, ts, members).schedulable) {
             continue;
           }
           feasible[m] = 1;

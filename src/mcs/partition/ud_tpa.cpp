@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "mcs/analysis/demand.hpp"
 #include "mcs/obs/trace.hpp"
 
 namespace mcs::partition {
@@ -107,16 +108,15 @@ PlacementOutcome UdTpaPartitioner::run_on(
   }
 
   // GE gate: a scalar all-cores loop (count_probe per core) over member
-  // lists like DBF-FFD's gate — it has no plane-backed 2-D form, so it
-  // stays on the 1-D skeleton.
+  // lists like the demand-gated FFD's — it has no plane-backed 2-D form, so
+  // it stays on the 1-D skeleton.
   std::vector<std::size_t> members;  // reused across GE probes
   const auto gate = [&](std::size_t t, std::span<unsigned char> feasible) {
     for (std::size_t m = 0; m < feasible.size(); ++m) {
       engine.count_probe();
       members = engine.partition().tasks_on(m);
       members.push_back(t);
-      feasible[m] =
-          analysis::ge_dual_test(ts, members, ge_options_).schedulable ? 1 : 0;
+      feasible[m] = analysis::ge_dual_test(ts, members).schedulable ? 1 : 0;
     }
   };
 

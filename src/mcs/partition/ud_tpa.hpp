@@ -21,11 +21,10 @@
 //                                via the batched SoA probe_fits_all;
 //   * kEq4     ["UD-TPA/eq4"]  — Eq. (4) only, batched;
 //   * kGe      ["UD-TPA/ge"]   — the credited demand-bound test of
-//                                analysis/ge_test.hpp (dual-criticality
+//                                analysis/demand.hpp (dual-criticality
 //                                only; scalar per-core probes).
 #pragma once
 
-#include "mcs/analysis/ge_test.hpp"
 #include "mcs/partition/partitioner.hpp"
 
 namespace mcs::partition {
@@ -38,9 +37,8 @@ enum class UdGate {
 
 class UdTpaPartitioner final : public Partitioner {
  public:
-  explicit UdTpaPartitioner(UdGate gate = UdGate::kTheorem1,
-                            analysis::GeOptions ge_options = {})
-      : gate_(gate), ge_options_(ge_options) {}
+  explicit UdTpaPartitioner(UdGate gate = UdGate::kTheorem1)
+      : gate_(gate) {}
 
   /// The kGe gate requires ts.num_levels() == 2; throws
   /// std::invalid_argument otherwise.  kTheorem1/kEq4 accept any K.
@@ -61,7 +59,6 @@ class UdTpaPartitioner final : public Partitioner {
 
  private:
   UdGate gate_;
-  analysis::GeOptions ge_options_;
 };
 
 }  // namespace mcs::partition

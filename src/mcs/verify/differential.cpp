@@ -10,13 +10,11 @@
 
 #include "mcs/analysis/amc_rta.hpp"
 #include "mcs/analysis/core_util.hpp"
-#include "mcs/analysis/dbf.hpp"
+#include "mcs/analysis/demand.hpp"
 #include "mcs/analysis/edfvd.hpp"
-#include "mcs/analysis/ge_test.hpp"
 #include "mcs/analysis/placement.hpp"
 #include "mcs/gen/rng.hpp"
 #include "mcs/io/taskset_io.hpp"
-#include "mcs/partition/dbf_ffd.hpp"
 #include "mcs/partition/fp_amc.hpp"
 #include "mcs/partition/registry.hpp"
 #include "mcs/sim/scenario.hpp"
@@ -231,7 +229,7 @@ CheckResult check_test_dominance(const TaskSet& ts, std::uint64_t seed) {
          << "-task dual-criticality subset (round " << round << ")";
       return fail(os.str());
     }
-    // The GE test's credited curves lower-bound the dbf.hpp curves at equal
+    // The GE test's credited curves lower-bound the DBF curves at equal
     // scales and its candidate list is a superset, so every DBF acceptance
     // must be a GE acceptance.  The demand scans are costly, so only the
     // first few rounds race them.
@@ -294,10 +292,11 @@ CheckResult check_scheme_claims(const TaskSet& ts, std::size_t num_cores) {
         // DM is the partitioner's default assignment; Audsley dominates DM,
         // so a DM-accepted core must also pass the from-scratch DM test.
         core_ok = analysis::amc_rtb_test(ts, members).schedulable;
-      } else if (name == "DBF-FFD") {
-        core_ok = analysis::dbf_dual_test(ts, members).schedulable;
-      } else if (name == "GE-FFD" || name == "UD-TPA/ge") {
-        core_ok = analysis::ge_dual_test(ts, members).schedulable;
+      } else if (name == "DBF-FFD" || name == "GE-FFD" ||
+                 name == "UD-TPA/ge") {
+        const auto test = name == "DBF-FFD" ? analysis::DemandTest::kDbf
+                                            : analysis::DemandTest::kGe;
+        core_ok = analysis::demand_dual_test(test, ts, members).schedulable;
       } else {
         const UtilMatrix m_scratch = rebuild(ts, members);
         core_ok = analysis::basic_test(m_scratch) ||

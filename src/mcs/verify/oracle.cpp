@@ -1,10 +1,10 @@
 #include "mcs/verify/oracle.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
-#include "mcs/analysis/dbf.hpp"
-#include "mcs/analysis/ge_test.hpp"
+#include "mcs/analysis/demand.hpp"
 #include "mcs/gen/rng.hpp"
 #include "mcs/verify/scenarios.hpp"
 
@@ -142,21 +142,13 @@ OracleOptions options_for_scheme(const std::string& scheme,
   OracleOptions opts;
   opts.seed = seed;
   if (scheme == "FP-AMC") opts.runtime = RuntimeKind::kFixedPriority;
-  if (scheme == "DBF-FFD" || scheme == "DBF-FFD/contrib") {
-    const TaskSet& ts = partition.taskset();
-    opts.dual_scales.assign(ts.size(), 1.0);
-    for (std::size_t m = 0; m < partition.num_cores(); ++m) {
-      const auto& members = partition.tasks_on(m);
-      if (members.empty()) continue;
-      const analysis::DbfResult r = analysis::dbf_dual_test(ts, members);
-      if (!r.schedulable) continue;  // the claims checker flags this case
-      for (const std::size_t t : members) {
-        if (ts[t].level() == 2) opts.dual_scales[t] = r.scale;
-      }
-    }
-  }
+  std::optional<analysis::DemandTest> demand;
+  if (scheme == "DBF-FFD") demand = analysis::DemandTest::kDbf;
   if (scheme == "GE-FFD" || scheme == "UD-TPA/ge") {
-    // The GE acceptance is tied to the per-task deadline scales it tuned;
+    demand = analysis::DemandTest::kGe;
+  }
+  if (demand) {
+    // A demand-gated acceptance is tied to the deadline scales it chose;
     // re-derive them per core (the test is deterministic, so this matches
     // what the partitioner's final accept of each core chose).
     const TaskSet& ts = partition.taskset();
@@ -164,7 +156,8 @@ OracleOptions options_for_scheme(const std::string& scheme,
     for (std::size_t m = 0; m < partition.num_cores(); ++m) {
       const auto& members = partition.tasks_on(m);
       if (members.empty()) continue;
-      const analysis::GeResult r = analysis::ge_dual_test(ts, members);
+      const analysis::DemandResult r =
+          analysis::demand_dual_test(*demand, ts, members);
       if (!r.schedulable) continue;  // the claims checker flags this case
       for (const std::size_t t : members) {
         if (ts[t].level() == 2) opts.dual_scales[t] = r.scales[t];

@@ -4,9 +4,9 @@
 
 #include <stdexcept>
 
-#include "mcs/analysis/ge_test.hpp"
+#include "mcs/analysis/demand.hpp"
 #include "mcs/gen/taskset_generator.hpp"
-#include "mcs/partition/ge_ffd.hpp"
+#include "mcs/partition/demand_ffd.hpp"
 
 namespace mcs::partition {
 namespace {
@@ -15,14 +15,16 @@ TEST(UdTpaTest, NamesFollowTheSchemeGrammar) {
   EXPECT_EQ(UdTpaPartitioner().name(), "UD-TPA");
   EXPECT_EQ(UdTpaPartitioner(UdGate::kEq4).name(), "UD-TPA/eq4");
   EXPECT_EQ(UdTpaPartitioner(UdGate::kGe).name(), "UD-TPA/ge");
-  EXPECT_EQ(GeFfdPartitioner().name(), "GE-FFD");
+  EXPECT_EQ(DemandFfdPartitioner(analysis::DemandTest::kGe).name(), "GE-FFD");
 }
 
 TEST(UdTpaTest, GeGateRequiresDualCriticality) {
   const TaskSet k4({McTask(1, {1.0, 2.0, 3.0, 4.0}, 20.0)}, 4);
   EXPECT_THROW((void)UdTpaPartitioner(UdGate::kGe).run(k4, 2),
                std::invalid_argument);
-  EXPECT_THROW((void)GeFfdPartitioner().run(k4, 2), std::invalid_argument);
+  EXPECT_THROW(
+      (void)DemandFfdPartitioner(analysis::DemandTest::kGe).run(k4, 2),
+      std::invalid_argument);
   EXPECT_NO_THROW((void)UdTpaPartitioner().run(k4, 2));
   EXPECT_NO_THROW((void)UdTpaPartitioner(UdGate::kEq4).run(k4, 2));
 }
