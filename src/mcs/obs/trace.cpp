@@ -132,6 +132,12 @@ void emit(TraceKind kind, const TraceSite& site, std::uint64_t ts_ns,
           std::uint64_t a2) noexcept {
   local_trace_ring().push(TraceRecord{&site, kind, ts_ns, dur_ns, a0, a1, a2});
 }
+
+void emit_now(TraceKind kind, const TraceSite& site, std::uint64_t dur_ns,
+              std::uint64_t a0, std::uint64_t a1, std::uint64_t a2) noexcept {
+  TraceRing& ring = local_trace_ring();
+  ring.push(TraceRecord{&site, kind, trace_now_ns(), dur_ns, a0, a1, a2});
+}
 }  // namespace trace_detail
 
 TraceSnapshot collect_trace() {

@@ -140,19 +140,23 @@ namespace trace_detail {
 void emit(TraceKind kind, const TraceSite& site, std::uint64_t ts_ns,
           std::uint64_t dur_ns, std::uint64_t a0, std::uint64_t a1,
           std::uint64_t a2) noexcept;
+/// Like emit, but stamps the record after taking this thread's ring: a ring
+/// handed over from an exited thread then never receives a record older
+/// than its previous owner's last one.
+void emit_now(TraceKind kind, const TraceSite& site, std::uint64_t dur_ns,
+              std::uint64_t a0, std::uint64_t a1, std::uint64_t a2) noexcept;
 }  // namespace trace_detail
 
 inline void trace_instant(const TraceSite& site, std::uint64_t a0 = 0,
                           std::uint64_t a1 = 0, std::uint64_t a2 = 0) noexcept {
   if (!trace_enabled()) return;
-  trace_detail::emit(TraceKind::kInstant, site, trace_now_ns(), 0, a0, a1, a2);
+  trace_detail::emit_now(TraceKind::kInstant, site, 0, a0, a1, a2);
 }
 
 inline void trace_counter(const TraceSite& site,
                           std::uint64_t value) noexcept {
   if (!trace_enabled()) return;
-  trace_detail::emit(TraceKind::kCounter, site, trace_now_ns(), value, 0, 0,
-                     0);
+  trace_detail::emit_now(TraceKind::kCounter, site, value, 0, 0, 0);
 }
 
 /// Nestable span recorded as one "X" event at scope exit (exit-time records
