@@ -409,6 +409,46 @@ TEST(GeTunedTest, GreedyScalesExecuteWithoutMisses) {
   EXPECT_GE(tuned, 1u) << "no acceptance came from the greedy tier";
 }
 
+// Tuned-test properties: the per-task-scale test (GE, the only tuned tier)
+// accepts every set the uniform DBF test accepts, and every scale vector
+// it returns, uniform or greedy, executes without misses.
+class DbfTunedPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(DbfTunedPropertyTest, DominatesUniformAndScalesAreSound) {
+  const gen::GenParams params = short_period_params(0.65, 8);
+  std::size_t uniform_ok = 0;
+  std::size_t tuned_ok = 0;
+  for (std::uint64_t trial = 0; trial < 25; ++trial) {
+    const TaskSet ts = gen::generate_trial(params, GetParam(), trial);
+    const DemandResult uniform = dbf_dual_test(ts);
+    const DemandResult tuned = ge_dual_test(ts);
+    if (uniform.schedulable) {
+      ++uniform_ok;
+      EXPECT_TRUE(tuned.schedulable) << "dominance broken, trial " << trial;
+    }
+    if (!tuned.schedulable) continue;
+    ++tuned_ok;
+    Partition partition(ts, 1);
+    for (std::size_t i = 0; i < ts.size(); ++i) partition.assign(i, 0);
+    sim::SimConfig config;
+    config.dual_scales = tuned.scales;
+    for (int kind = 0; kind < 2; ++kind) {
+      const sim::SimResult r =
+          kind == 0 ? simulate(partition, sim::FixedLevelScenario(2), config)
+                    : simulate(partition, sim::RandomScenario(trial, 0.5),
+                               config);
+      EXPECT_TRUE(r.misses.empty())
+          << "trial " << trial << " scenario " << kind;
+    }
+  }
+  EXPECT_GE(tuned_ok, uniform_ok);
+  EXPECT_GT(tuned_ok, 3u);
+}
+
+INSTANTIATE_TEST_SUITE_P(TunedSeeds, DbfTunedPropertyTest,
+                         ::testing::Values(81u, 82u, 83u));
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DbfPropertyTest,
                          ::testing::Values(41u, 42u, 43u));
 
