@@ -1,9 +1,9 @@
-// General-purpose sweep driver: run any builtin experiment spec (or a
-// single custom point) from the command line without writing code.
+// Single-point experiment driver: evaluate the paper's scheme line-up on
+// one custom generator configuration without writing code.  Whole sweeps
+// (the figures, ablations and head-to-heads) run through tools/mcs_exp.
 //
-//   $ ./examples/sweep_cli --figure 1 --trials 1000
-//   $ ./examples/sweep_cli --figure a3 --trials 50000 --csv a3.csv
 //   $ ./examples/sweep_cli --point --nsu 0.7 --cores 16 --levels 3
+//   $ ./examples/sweep_cli --point --trials 50000 --jobs 4
 #include <iostream>
 
 #include "mcs/mcs.hpp"
@@ -12,35 +12,32 @@ int main(int argc, char** argv) {
   using namespace mcs;
   const util::Cli cli(
       argc, argv,
-      {{"figure", "spec to run: 1-5 or a name (fig1..fig5, a1..a4)"},
-       {"point", "run a single point instead of a figure sweep"},
-       {"trials", "task sets per data point (default 2000; paper: 50000)"},
+      {{"point", "run a single point (the only mode; kept for old scripts)"},
+       {"trials", "task sets (default 2000; paper: 50000)"},
        {"seed", "base RNG seed (default 1)"},
-       {"threads", "worker threads per point (default: hardware concurrency)"},
        {"jobs",
-        "run N sweep points concurrently (default 1; clamped to hardware "
-        "concurrency; results are bit-identical for any N)"},
-       {"csv", "also write results to this CSV file"},
-       {"cores", "M for --point (default 8)"},
-       {"levels", "K for --point (default 4)"},
-       {"nsu", "NSU for --point (default 0.6)"},
-       {"ifc", "IFC for --point (default 0.4)"},
+        "workers (default: hardware concurrency; clamped to it; results "
+        "are bit-identical for any N)"},
+       {"cores", "M (default 8)"},
+       {"levels", "K (default 4)"},
+       {"nsu", "NSU (default 0.6)"},
+       {"ifc", "IFC (default 0.4)"},
        {"alpha", "CA-TPA imbalance threshold (default 0.7)"},
-       {"tasks", "fixed N for --point (default: N ~ U{40..200})"}});
+       {"tasks", "fixed N (default: N ~ U{40..200})"}});
   if (cli.help_requested()) {
     std::cout << cli.usage("sweep_cli");
     return 0;
   }
 
   exp::RunOptions options;
-  options.trials = cli.get_or("trials", exp::kDefaultTrials);
-  options.seed = cli.get_or("seed", std::uint64_t{1});
-  options.threads =
-      static_cast<std::size_t>(cli.get_or("threads", std::uint64_t{0}));
-  const double alpha = cli.get_or("alpha", exp::kDefaultAlpha);
-
-  if (cli.has("point")) {
-    gen::GenParams params = exp::default_gen_params();
+  gen::GenParams params = exp::default_gen_params();
+  double alpha = exp::kDefaultAlpha;
+  try {
+    options.trials = cli.get_or("trials", exp::kDefaultTrials);
+    options.seed = cli.get_or("seed", std::uint64_t{1});
+    options.threads = svc::resolve_jobs(
+        cli.get_or("jobs", std::uint64_t{util::default_thread_count()}));
+    alpha = cli.get_or("alpha", exp::kDefaultAlpha);
     params.num_cores =
         static_cast<std::size_t>(cli.get_or("cores", std::uint64_t{8}));
     params.num_levels =
@@ -49,55 +46,23 @@ int main(int argc, char** argv) {
     params.ifc = cli.get_or("ifc", exp::kDefaultIfc);
     params.num_tasks =
         static_cast<std::size_t>(cli.get_or("tasks", std::uint64_t{0}));
-    const auto schemes = partition::paper_schemes(alpha);
-    const exp::PointResult pt = run_point(params, schemes, options, params.nsu);
-    util::Table table(
-        {"scheme", "ratio", "U_sys", "U_avg", "Lambda", "probes"});
-    for (const exp::SchemeAggregate& agg : pt.schemes) {
-      table.begin_row();
-      table.add_cell(agg.scheme);
-      table.add_cell(agg.ratio(), 4);
-      table.add_cell(agg.u_sys.mean(), 4);
-      table.add_cell(agg.u_avg.mean(), 4);
-      table.add_cell(agg.imbalance.mean(), 4);
-      table.add_cell(agg.probes.mean(), 1);
-    }
-    table.print(std::cout);
-    return 0;
-  }
-
-  // Accept bare figure numbers ("--figure 4") as shorthand for "fig4";
-  // everything else resolves through the spec registry.
-  std::string name = cli.get_or("figure", std::string("1"));
-  if (name.size() == 1 && name[0] >= '1' && name[0] <= '9') {
-    name = "fig" + name;
-  }
-  const exp::SweepSpec* spec = exp::find_spec(name);
-  if (spec == nullptr) {
-    std::cerr << "unknown spec '" << name << "' (expected one of "
-              << exp::spec_names() << ")\n";
-    return 1;
-  }
-
-  std::size_t jobs = 1;
-  try {
-    jobs = svc::resolve_jobs(cli.get_or("jobs", std::uint64_t{1}));
   } catch (const std::invalid_argument& e) {
     std::cerr << "sweep_cli: " << e.what() << '\n';
     return 1;
   }
 
-  const auto progress = [](std::size_t done, std::size_t total) {
-    std::cerr << "point " << done << "/" << total << " done\n";
-  };
-  const exp::Sweep sweep = to_sweep(*spec, alpha);
-  const exp::SweepResult result =
-      jobs > 1 ? svc::run_sweep_parallel(sweep, options, jobs, progress)
-               : run_sweep(sweep, options, progress);
-  print_figure(std::cout, result, spec->title);
-  if (const auto csv = cli.get("csv")) {
-    write_csv(*csv, result);
-    std::cout << "\nCSV written to " << *csv << '\n';
+  const auto schemes = partition::paper_schemes(alpha);
+  const exp::PointResult pt = run_point(params, schemes, options, params.nsu);
+  util::Table table({"scheme", "ratio", "U_sys", "U_avg", "Lambda", "probes"});
+  for (const exp::SchemeAggregate& agg : pt.schemes) {
+    table.begin_row();
+    table.add_cell(agg.scheme);
+    table.add_cell(agg.ratio(), 4);
+    table.add_cell(agg.u_sys.mean(), 4);
+    table.add_cell(agg.u_avg.mean(), 4);
+    table.add_cell(agg.imbalance.mean(), 4);
+    table.add_cell(agg.probes.mean(), 1);
   }
+  table.print(std::cout);
   return 0;
 }

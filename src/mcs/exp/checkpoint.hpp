@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,14 +36,6 @@ namespace mcs::exp {
 /// Exact Welford <-> JSON.
 [[nodiscard]] util::Json welford_to_json(const util::Welford& w);
 [[nodiscard]] util::Welford welford_from_json(const util::Json& json);
-
-/// One completed experiment point: its aggregates plus the deterministic
-/// observability counter deltas recorded while it ran.
-struct PointCheckpoint {
-  std::size_t index = 0;
-  PointResult result;
-  std::map<std::string, std::uint64_t> counters;
-};
 
 [[nodiscard]] util::Json point_to_json(const PointCheckpoint& point);
 [[nodiscard]] PointCheckpoint point_from_json(const util::Json& json);

@@ -5,11 +5,11 @@
 // Determinism: a point's aggregates depend only on (spec, point index,
 // trial index, seed), and the checkpoint stores their exact bit patterns,
 // so a sweep interrupted at any point and resumed produces artifacts
-// byte-identical to an uninterrupted run.  Observability counter deltas are
-// captured around each point under MetricsEnabledGuard; they too are
-// deterministic (every counted event derives from deterministic trial
-// work), so they are safe to persist.  Timers are wall-clock and never
-// enter artifacts.
+// byte-identical to an uninterrupted run, whatever the thread counts of
+// the two runs.  Observability counter deltas are captured per point by
+// run_points' per-chunk sinks; they too are deterministic (every counted
+// event derives from deterministic trial work), so they are safe to
+// persist.  Timers are wall-clock and never enter artifacts.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,7 @@ namespace mcs::exp {
 struct SpecRunOptions {
   std::uint64_t trials = kDefaultTrials;
   std::uint64_t seed = 1;
-  std::size_t threads = 0;  ///< 0 = hardware concurrency
+  std::size_t threads = 0;  ///< sweep workers; 0 = hardware concurrency
   double alpha = kDefaultAlpha;
   /// Where checkpoints and artifacts live.
   std::string artifacts_dir = "artifacts";
@@ -42,12 +42,13 @@ struct SpecRunOptions {
   std::size_t stop_after_points = 0;
   /// Write <name>.json / <name>.csv artifacts when the sweep completes.
   bool write_artifacts = true;
-  /// Enable the obs metrics registry around each point and record counter
-  /// deltas into the checkpoint/artifact.
+  /// Enable the obs metrics registry around the sweep and record per-point
+  /// counter deltas into the checkpoint/artifact.
   bool collect_metrics = true;
   /// Provenance string recorded in artifacts (e.g. the git commit).
   std::string source;
-  /// Invoked after every completed point with (points done, total).
+  /// Invoked after every completed point with (points done, total), in
+  /// completion order.
   std::function<void(std::size_t, std::size_t)> progress;
 };
 
@@ -64,58 +65,11 @@ struct SpecRunResult {
 };
 
 /// Runs `spec` per `options`: loads a matching checkpoint, runs the missing
-/// points (appending each to the checkpoint as it completes), and on
-/// completion writes the JSON + CSV artifacts and removes the checkpoint.
+/// points through run_points (appending each to the checkpoint as it
+/// completes, so appends follow completion order), and on completion writes
+/// the JSON + CSV artifacts and removes the checkpoint.
 [[nodiscard]] SpecRunResult run_spec(const SweepSpec& spec,
                                      const SpecRunOptions& options);
-
-// -- building blocks (shared with the svc:: parallel sweep executor) -------
-
-/// The checkpoint file location run_spec uses for `spec`.
-[[nodiscard]] std::string checkpoint_path_for(const SpecRunOptions& options,
-                                              const SweepSpec& spec);
-
-/// How a point's observability deltas are captured.
-enum class PointCapture {
-  /// Global registry snapshot diff around the point.  Correct only when the
-  /// point is the sole metered work in the process (the sequential
-  /// orchestrator); the point's trials may then use the full thread pool.
-  kRegistrySnapshot,
-  /// Thread-local obs::ThreadMetricsSink.  Correct when several points run
-  /// concurrently; forces the point's trials onto the calling thread so the
-  /// sink sees exactly this point's increments.
-  kThreadSink,
-};
-
-/// Runs point `index` of `sweep` end-to-end: per-point seed derivation, the
-/// exp.point trace span, metrics capture per `capture`.  A pure function of
-/// (sweep, index, options.trials/seed/alpha) — both capture modes yield
-/// bit-identical checkpoints, which is what makes `--jobs N` artifacts
-/// byte-identical to sequential ones.
-[[nodiscard]] PointCheckpoint run_checkpointed_point(
-    const Sweep& sweep, std::size_t index, const SpecRunOptions& options,
-    const std::string& fingerprint, PointCapture capture);
-
-/// Completed points recovered from a checkpoint matching (fingerprint,
-/// total); `resuming` reports whether a usable checkpoint existed (its file
-/// is then appended to rather than truncated).
-struct ResumeState {
-  std::vector<std::optional<PointCheckpoint>> done;
-  std::size_t resumed_points = 0;
-  bool resuming = false;
-};
-
-[[nodiscard]] ResumeState load_resume_state(const std::string& path,
-                                            const std::string& fingerprint,
-                                            std::size_t total, bool resume);
-
-/// Writes <name>.json/<name>.csv for a completed run (and removes the
-/// checkpoint unless options.keep_checkpoint), filling out.json_path /
-/// out.csv_path.  `done` must hold every point.
-void write_spec_artifacts(const SweepSpec& spec, const SpecRunOptions& options,
-                          const std::string& fingerprint,
-                          std::vector<std::optional<PointCheckpoint>>& done,
-                          SpecRunResult& out);
 
 /// A loaded "mcs-exp-artifact/1" file: provenance plus the exact per-point
 /// aggregates and counter deltas.

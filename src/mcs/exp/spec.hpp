@@ -3,10 +3,10 @@
 // A SweepSpec describes a figure- or ablation-level experiment as *data*:
 // one swept axis with its values, the non-swept generator parameters, and
 // the scheme line-up as registry spec strings (partition::make_scheme_spec
-// grammar).  Every consumer — the mcs_exp orchestrator, the bench_fig*/
-// bench_ablation_* wrappers, examples/sweep_cli — resolves named specs from
-// the same builtin registry, so "fig1" means exactly one thing everywhere
-// and the docs pipeline can reference experiments by name.
+// grammar).  Every consumer — the mcs_exp orchestrator, the perf
+// benchmark, the tests — resolves named specs from the same builtin
+// registry, so "fig1" means exactly one thing everywhere and the docs
+// pipeline can reference experiments by name.
 //
 // The seeding contract: trial results are a pure function of
 // (spec, point index, trial index, base seed).  Points draw workloads from

@@ -1,27 +1,23 @@
 #include "mcs/exp/sweep.hpp"
 
+#include <numeric>
+
 namespace mcs::exp {
 
 SweepResult run_sweep(
     const Sweep& sweep, const RunOptions& options,
     const std::function<void(std::size_t, std::size_t)>& progress) {
+  const std::size_t total = sweep.points.size();
+  std::vector<std::size_t> indices(total);
+  std::iota(indices.begin(), indices.end(), std::size_t{0});
   SweepResult result;
   result.sweep = sweep;
-  result.points.reserve(sweep.points.size());
-  for (std::size_t i = 0; i < sweep.points.size(); ++i) {
-    const SweepPoint& pt = sweep.points[i];
-    const partition::PartitionerList schemes =
-        pt.make_schemes ? pt.make_schemes()
-                        : partition::paper_schemes(kDefaultAlpha);
-    // Offset the seed per point so points draw independent workloads
-    // (unless the sweep wants common random numbers across points).
-    RunOptions point_options = options;
-    if (!sweep.share_workloads_across_points) {
-      point_options.seed = gen::derive_seed(options.seed, i);
-    }
-    result.points.push_back(run_point(pt.params, schemes, point_options, pt.x));
-    if (progress) progress(i + 1, sweep.points.size());
-  }
+  result.points.resize(total);
+  std::size_t completed = 0;
+  run_points(sweep, indices, options, false, 0, [&](PointCheckpoint point) {
+    result.points[point.index] = std::move(point.result);
+    if (progress) progress(++completed, total);
+  });
   return result;
 }
 

@@ -38,7 +38,7 @@ struct SweepResult {
 };
 
 /// Runs every point of the sweep.  `progress`, when non-null, is invoked
-/// after each point with (index, total).
+/// after each completed point with (points done, total).
 [[nodiscard]] SweepResult run_sweep(
     const Sweep& sweep, const RunOptions& options,
     const std::function<void(std::size_t, std::size_t)>& progress = {});

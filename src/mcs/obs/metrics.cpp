@@ -73,27 +73,6 @@ std::map<std::string, std::uint64_t> counter_deltas(
   return deltas;
 }
 
-std::map<std::string, std::uint64_t> histogram_percentile_deltas(
-    const MetricsSnapshot& before, const MetricsSnapshot& after) {
-  std::map<std::string, std::uint64_t> out;
-  for (const auto& [name, data] : after.histograms) {
-    std::array<std::uint64_t, Histogram::kBuckets> delta = data.buckets;
-    if (const auto it = before.histograms.find(name);
-        it != before.histograms.end()) {
-      for (std::size_t b = 0; b < delta.size(); ++b) {
-        delta[b] -= std::min(it->second.buckets[b], delta[b]);
-      }
-    }
-    std::uint64_t grew = 0;
-    for (const std::uint64_t b : delta) grew += b;
-    if (grew == 0) continue;
-    out.emplace(name + ".p50", percentile_from_buckets(delta, 0.50));
-    out.emplace(name + ".p90", percentile_from_buckets(delta, 0.90));
-    out.emplace(name + ".p99", percentile_from_buckets(delta, 0.99));
-  }
-  return out;
-}
-
 Registry& Registry::instance() {
   static Registry registry;
   return registry;
@@ -147,10 +126,10 @@ MetricsSnapshot Registry::snapshot() const {
 }
 
 std::map<std::string, std::uint64_t> Registry::resolve_counter_deltas(
-    const ThreadMetricsSink& sink) const {
+    const MetricsCapture& capture) const {
   const std::lock_guard lock(mutex_);
   std::map<std::string, std::uint64_t> out;
-  for (const auto& [pointer, delta] : sink.counters()) {
+  for (const auto& [pointer, delta] : capture.counters()) {
     if (delta == 0) continue;
     for (const auto& [name, counter] : counters_) {
       if (counter.get() == pointer) {
@@ -163,10 +142,10 @@ std::map<std::string, std::uint64_t> Registry::resolve_counter_deltas(
 }
 
 std::map<std::string, std::uint64_t> Registry::resolve_histogram_percentiles(
-    const ThreadMetricsSink& sink) const {
+    const MetricsCapture& capture) const {
   const std::lock_guard lock(mutex_);
   std::map<std::string, std::uint64_t> out;
-  for (const auto& [pointer, buckets] : sink.histograms()) {
+  for (const auto& [pointer, buckets] : capture.histograms()) {
     std::uint64_t grew = 0;
     for (const std::uint64_t b : buckets) grew += b;
     if (grew == 0) continue;

@@ -32,30 +32,16 @@ namespace detail {
 inline std::atomic<bool> g_enabled{false};
 }  // namespace detail
 
-/// Bucket count shared by Histogram and the thread sink (defined before
-/// both so the sink can size its capture arrays).
+/// Bucket count shared by Histogram and MetricsCapture (defined before
+/// both so the capture can size its arrays).
 inline constexpr std::size_t kHistogramBuckets = 65;
 
-/// Thread-local capture of the metered events recorded *on this thread*
-/// while the sink is installed.  The global instruments still update (a
-/// sink observes, it does not redirect), so snapshots taken elsewhere stay
-/// correct; what the sink adds is attribution: when several experiment
-/// points run concurrently on different threads, each worker's sink sees
-/// exactly its own point's increments — the per-point counter deltas the
-/// sequential orchestrator derives from global snapshots, recovered without
-/// serializing the points.  Keys are instrument addresses (stable for the
-/// process lifetime); Registry::resolve_* turns them back into names.
-///
-/// Install/uninstall is RAII and nestable (the innermost sink captures).
-/// Hot-path cost when no sink is installed: one thread-local load and a
-/// predicted branch, paid only on the already-metered (enabled) path.
-class ThreadMetricsSink {
+/// Metered events keyed by instrument address: counter increments and
+/// histogram bucket counts.  Both are integer sums, so merging captures in
+/// any order gives the same totals.  Keys are stable for the process
+/// lifetime; Registry::resolve_* turns them back into names.
+class MetricsCapture {
  public:
-  ThreadMetricsSink() noexcept;
-  ~ThreadMetricsSink();
-  ThreadMetricsSink(const ThreadMetricsSink&) = delete;
-  ThreadMetricsSink& operator=(const ThreadMetricsSink&) = delete;
-
   void on_counter(const void* counter, std::uint64_t n) {
     for (auto& [key, value] : counters_) {
       if (key == counter) {
@@ -67,16 +53,16 @@ class ThreadMetricsSink {
   }
 
   void on_histogram(const void* histogram, std::uint64_t value) {
-    const auto bucket = static_cast<std::size_t>(std::bit_width(value));
-    for (auto& [key, buckets] : histograms_) {
-      if (key == histogram) {
-        ++buckets[bucket];
-        return;
-      }
+    ++buckets_of(histogram)[static_cast<std::size_t>(std::bit_width(value))];
+  }
+
+  /// Adds `other`'s counts to this capture.
+  void merge(const MetricsCapture& other) {
+    for (const auto& [key, n] : other.counters_) on_counter(key, n);
+    for (const auto& [key, buckets] : other.histograms_) {
+      auto& mine = buckets_of(key);
+      for (std::size_t b = 0; b < kHistogramBuckets; ++b) mine[b] += buckets[b];
     }
-    histograms_.emplace_back(histogram,
-                             std::array<std::uint64_t, kHistogramBuckets>{});
-    ++histograms_.back().second[bucket];
   }
 
   [[nodiscard]] const std::vector<std::pair<const void*, std::uint64_t>>&
@@ -90,13 +76,42 @@ class ThreadMetricsSink {
   }
 
  private:
-  ThreadMetricsSink* previous_;
-  /// Linear-scan vectors: a sweep point touches ~a dozen distinct
+  std::array<std::uint64_t, kHistogramBuckets>& buckets_of(
+      const void* histogram) {
+    for (auto& [key, buckets] : histograms_) {
+      if (key == histogram) return buckets;
+    }
+    return histograms_
+        .emplace_back(histogram, std::array<std::uint64_t, kHistogramBuckets>{})
+        .second;
+  }
+
+  /// Linear-scan vectors: a sweep chunk touches ~a dozen distinct
   /// instruments, and the same counter is hit repeatedly (the scan usually
   /// terminates on its first probe), so this beats a map on the hot path.
   std::vector<std::pair<const void*, std::uint64_t>> counters_;
   std::vector<std::pair<const void*, std::array<std::uint64_t, kHistogramBuckets>>>
       histograms_;
+};
+
+/// A MetricsCapture installed as this thread's sink while it lives: it sees
+/// the metered events recorded *on this thread*.  The global instruments
+/// still update (a sink observes, it does not redirect); what the sink adds
+/// is attribution, so that sweep chunks running concurrently on different
+/// threads each capture exactly their own increments.
+///
+/// Install/uninstall is RAII and nestable (the innermost sink captures).
+/// Hot-path cost when no sink is installed: one thread-local load and a
+/// predicted branch, paid only on the already-metered (enabled) path.
+class ThreadMetricsSink : public MetricsCapture {
+ public:
+  ThreadMetricsSink() noexcept;
+  ~ThreadMetricsSink();
+  ThreadMetricsSink(const ThreadMetricsSink&) = delete;
+  ThreadMetricsSink& operator=(const ThreadMetricsSink&) = delete;
+
+ private:
+  ThreadMetricsSink* previous_;
 };
 
 namespace detail {
@@ -254,7 +269,8 @@ class Histogram {
 
 /// The q-th ranked value's bucket upper bound for a raw pow2 bucket-count
 /// array (the building block behind Histogram::percentile and
-/// histogram_percentile_deltas).  Returns 0 when all buckets are zero.
+/// Registry::resolve_histogram_percentiles).  Returns 0 when all buckets
+/// are zero.
 [[nodiscard]] std::uint64_t percentile_from_buckets(
     const std::array<std::uint64_t, Histogram::kBuckets>& buckets,
     double q) noexcept;
@@ -291,14 +307,6 @@ struct MetricsSnapshot {
 [[nodiscard]] std::map<std::string, std::uint64_t> counter_deltas(
     const MetricsSnapshot& before, const MetricsSnapshot& after);
 
-/// Percentiles of the histogram values recorded *between* two snapshots,
-/// flattened to "<name>.p50" / ".p90" / ".p99" pseudo-counters (only for
-/// histograms whose count grew).  Histogram values are deterministic
-/// per-trial quantities (unlike timers), so these merge safely into
-/// checkpointed per-point counter maps.
-[[nodiscard]] std::map<std::string, std::uint64_t> histogram_percentile_deltas(
-    const MetricsSnapshot& before, const MetricsSnapshot& after);
-
 /// Process-wide instrument registry.  Lookup by name registers on first
 /// use and always returns the same object, whose address is stable for the
 /// process lifetime — hot paths cache references at namespace scope.
@@ -312,18 +320,21 @@ class Registry {
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Resolves a thread sink's pointer-keyed counter captures into the
+  /// Resolves a capture's pointer-keyed counter increments into the
   /// name-keyed delta map that counter_deltas(before, after) would produce
-  /// had the sink's thread been the only metered work between the
-  /// snapshots.  Sink entries for counters unknown to this registry are
-  /// dropped (cannot happen for instruments obtained via counter()).
+  /// had the captured work been the only metered work between the
+  /// snapshots.  Entries for counters unknown to this registry are dropped
+  /// (cannot happen for instruments obtained via counter()).
   [[nodiscard]] std::map<std::string, std::uint64_t> resolve_counter_deltas(
-      const ThreadMetricsSink& sink) const;
+      const MetricsCapture& capture) const;
 
-  /// Same resolution for histograms, flattened to "<name>.p50/.p90/.p99"
-  /// pseudo-counters exactly like histogram_percentile_deltas.
+  /// Percentiles of the captured histogram values, flattened to
+  /// "<name>.p50" / ".p90" / ".p99" pseudo-counters (only for histograms
+  /// that recorded something).  Histogram values are deterministic
+  /// per-trial quantities (unlike timers), so these merge safely into
+  /// checkpointed per-point counter maps.
   [[nodiscard]] std::map<std::string, std::uint64_t>
-  resolve_histogram_percentiles(const ThreadMetricsSink& sink) const;
+  resolve_histogram_percentiles(const MetricsCapture& capture) const;
 
   /// Zeroes every instrument (names stay registered).
   void reset();

@@ -1,62 +1,10 @@
 #include "mcs/svc/executor.hpp"
 
-#include <atomic>
-#include <exception>
-#include <filesystem>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
-#include <vector>
 
-#include "mcs/obs/metrics.hpp"
 #include "mcs/util/thread_pool.hpp"
 
 namespace mcs::svc {
-
-namespace {
-
-obs::Counter& g_points_run = obs::registry().counter("svc.executor.points_run");
-
-/// Shards `pending` (point indices) over `jobs` workers with atomic work
-/// stealing and hands each completed checkpoint to `complete` under the
-/// scheduler lock.  Rethrows the first worker exception after the join.
-void run_indices(const std::vector<std::size_t>& pending, std::size_t jobs,
-                 const std::function<exp::PointCheckpoint(std::size_t)>& run,
-                 const std::function<void(exp::PointCheckpoint)>& complete) {
-  if (pending.empty()) return;
-  if (jobs > pending.size()) jobs = pending.size();
-
-  std::atomic<std::size_t> next{0};
-  std::mutex complete_mutex;
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t slot = next.fetch_add(1, std::memory_order_relaxed);
-      if (slot >= pending.size()) return;
-      try {
-        exp::PointCheckpoint point = run(pending[slot]);
-        g_points_run.add();
-        const std::lock_guard lock(complete_mutex);
-        complete(std::move(point));
-      } catch (...) {
-        const std::lock_guard lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-
-  {
-    std::vector<std::jthread> pool;
-    pool.reserve(jobs - 1);
-    for (std::size_t t = 0; t + 1 < jobs; ++t) pool.emplace_back(worker);
-    worker();  // the calling thread joins the work
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-}  // namespace
 
 std::size_t resolve_jobs(std::uint64_t requested) {
   if (requested == 0) {
@@ -69,113 +17,10 @@ std::size_t resolve_jobs(std::uint64_t requested) {
 }
 
 exp::SpecRunResult run_spec_parallel(const exp::SweepSpec& spec,
-                                     const exp::SpecRunOptions& options,
+                                     exp::SpecRunOptions options,
                                      std::size_t jobs) {
-  const exp::Sweep sweep = to_sweep(spec, options.alpha);
-  const std::size_t total = sweep.points.size();
-
-  exp::SpecRunResult out;
-  out.fingerprint = exp::spec_fingerprint(spec, options.trials, options.seed,
-                                          options.alpha);
-  out.checkpoint_path = exp::checkpoint_path_for(options, spec);
-
-  std::filesystem::create_directories(options.artifacts_dir);
-
-  exp::ResumeState state = exp::load_resume_state(
-      out.checkpoint_path, out.fingerprint, total, options.resume);
-  std::vector<std::optional<exp::PointCheckpoint>>& done = state.done;
-  out.resumed_points = state.resumed_points;
-
-  // The same index prefix a sequential run would execute under
-  // stop_after_points: the first N missing points in index order.
-  std::vector<std::size_t> pending;
-  pending.reserve(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    if (done[i]) continue;
-    if (options.stop_after_points != 0 &&
-        pending.size() >= options.stop_after_points) {
-      break;
-    }
-    pending.push_back(i);
-  }
-
-  std::size_t completed = out.resumed_points;
-  {
-    exp::CheckpointWriter writer(out.checkpoint_path, spec.name,
-                                 out.fingerprint, total, state.resuming);
-    // One enable guard around the whole parallel section; attribution of
-    // deltas to points happens through each worker's thread sink.
-    obs::MetricsEnabledGuard guard(options.collect_metrics);
-    run_indices(
-        pending, jobs,
-        [&](std::size_t index) {
-          return exp::run_checkpointed_point(sweep, index, options,
-                                             out.fingerprint,
-                                             exp::PointCapture::kThreadSink);
-        },
-        [&](exp::PointCheckpoint point) {
-          writer.append(point);
-          const std::size_t index = point.index;
-          done[index] = std::move(point);
-          ++completed;
-          if (options.progress) options.progress(completed, total);
-        });
-  }
-
-  out.complete = completed == total;
-  out.result.sweep = sweep;
-  for (std::size_t i = 0; i < total; ++i) {
-    if (!done[i]) continue;
-    out.result.points.push_back(done[i]->result);
-    out.point_counters.push_back(done[i]->counters);
-  }
-
-  if (out.complete && options.write_artifacts) {
-    exp::write_spec_artifacts(spec, options, out.fingerprint, done, out);
-  }
-  return out;
-}
-
-exp::SweepResult run_sweep_parallel(
-    const exp::Sweep& sweep, const exp::RunOptions& options, std::size_t jobs,
-    const std::function<void(std::size_t, std::size_t)>& progress) {
-  const std::size_t total = sweep.points.size();
-  std::vector<std::optional<exp::PointResult>> done(total);
-
-  std::vector<std::size_t> pending(total);
-  for (std::size_t i = 0; i < total; ++i) pending[i] = i;
-
-  std::size_t completed = 0;
-  run_indices(
-      pending, jobs,
-      [&](std::size_t index) {
-        const exp::SweepPoint& pt = sweep.points[index];
-        const partition::PartitionerList schemes =
-            pt.make_schemes ? pt.make_schemes()
-                            : partition::paper_schemes(exp::kDefaultAlpha);
-        exp::RunOptions point_options = options;
-        point_options.threads = 1;  // the point runs inline on its worker
-        if (!sweep.share_workloads_across_points) {
-          point_options.seed = gen::derive_seed(options.seed, index);
-        }
-        exp::PointCheckpoint point;
-        point.index = index;
-        point.result = run_point(pt.params, schemes, point_options, pt.x);
-        return point;
-      },
-      [&](exp::PointCheckpoint point) {
-        done[point.index] = std::move(point.result);
-        ++completed;
-        if (progress) progress(completed, total);
-      });
-
-  exp::SweepResult result;
-  result.sweep = sweep;
-  result.points.reserve(total);
-  for (std::optional<exp::PointResult>& point : done) {
-    result.points.push_back(std::move(*point));
-  }
-  return result;
+  options.threads = jobs;
+  return exp::run_spec(spec, options);
 }
 
 }  // namespace mcs::svc

@@ -1,31 +1,9 @@
-// Parallel sweep executor: the svc:: entry point that saturates the machine
-// with experiment points.
-//
-// Sweep points are independent by construction — each derives its RNG
-// substream from (base seed, point index), a pure function of inputs the
-// spec fingerprint covers — so the executor shards them across a pool of
-// worker threads with atomic-increment work stealing (idle workers pull the
-// next pending index; no static assignment, so uneven point costs balance
-// themselves).  Determinism is preserved end to end:
-//
-//   * each point's trials run inline on its worker with chunk-ordered
-//     Welford merging (exp::run_point), so the point's aggregates are
-//     bit-identical to a sequential run's;
-//   * per-point observability deltas are captured with a thread-local
-//     obs::ThreadMetricsSink instead of global registry snapshots, so
-//     concurrent points cannot bleed counters into each other;
-//   * checkpoint appends funnel through one mutex-guarded CheckpointWriter
-//     (append order follows completion and may interleave, but the loader
-//     keys points by index, so resumed artifacts are unaffected);
-//   * artifacts are assembled in point-index order after the join.
-//
-// Net: `mcs_exp --jobs N` produces artifacts byte-identical to `--jobs 1`
-// for every N (pinned by SvcExecutor tests and the parallel-determinism CI
-// job).
+// Sweep worker-count handling for the svc:: front ends.  Sweeps themselves
+// run through exp::run_points, whose (point, chunk) work queue keeps any
+// worker count's artifacts byte-identical to a single worker's.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "mcs/exp/orchestrator.hpp"
 
@@ -36,22 +14,8 @@ namespace mcs::svc {
 /// (oversubscribing CPU-bound sweep workers only adds scheduling noise).
 [[nodiscard]] std::size_t resolve_jobs(std::uint64_t requested);
 
-/// run_spec with the missing points sharded over `jobs` workers.  Artifacts
-/// and checkpoints are byte-compatible with exp::run_spec in both
-/// directions (a sequential checkpoint resumes a parallel run and vice
-/// versa).  jobs == 1 runs the points on the calling thread through the
-/// same scheduler.  options.stop_after_points limits how many *new* points
-/// are scheduled (the same index prefix a sequential run would execute).
+/// exp::run_spec on `jobs` sweep workers; kept for existing callers.
 [[nodiscard]] exp::SpecRunResult run_spec_parallel(
-    const exp::SweepSpec& spec, const exp::SpecRunOptions& options,
-    std::size_t jobs);
-
-/// Non-checkpointed variant for ad-hoc sweeps (examples/sweep_cli): runs
-/// every point of `sweep` across `jobs` workers; the returned SweepResult
-/// is bit-identical to exp::run_sweep's.  `progress` is invoked after each
-/// completed point with (completed, total) under the scheduler lock.
-[[nodiscard]] exp::SweepResult run_sweep_parallel(
-    const exp::Sweep& sweep, const exp::RunOptions& options, std::size_t jobs,
-    const std::function<void(std::size_t, std::size_t)>& progress = {});
+    const exp::SweepSpec& spec, exp::SpecRunOptions options, std::size_t jobs);
 
 }  // namespace mcs::svc

@@ -1,5 +1,7 @@
 #include "mcs/util/cli.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -78,26 +80,42 @@ std::string Cli::get_or(const std::string& key,
   return get(key).value_or(fallback);
 }
 
+namespace {
+
+/// `text` parsed whole as a T, or nothing: no trailing junk, no leading
+/// space or sign on unsigned values, no overflow.
+template <typename T>
+std::optional<T> parse_whole(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
 double Cli::get_or(const std::string& key, double fallback) const {
   const auto v = get(key);
   if (!v) return fallback;
-  try {
-    return std::stod(*v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + key + " expects a number, got '" +
-                                *v + "'");
+  const std::optional<double> value = parse_whole<double>(*v);
+  if (!value || !std::isfinite(*value)) {
+    throw std::invalid_argument("option --" + key +
+                                " expects a finite number, got '" + *v + "'");
   }
+  return *value;
 }
 
 std::uint64_t Cli::get_or(const std::string& key, std::uint64_t fallback) const {
   const auto v = get(key);
   if (!v) return fallback;
-  try {
-    return std::stoull(*v);
-  } catch (const std::exception&) {
+  const std::optional<std::uint64_t> value = parse_whole<std::uint64_t>(*v);
+  if (!value) {
     throw std::invalid_argument("option --" + key +
-                                " expects an integer, got '" + *v + "'");
+                                " expects a non-negative integer, got '" + *v +
+                                "'");
   }
+  return *value;
 }
 
 bool Cli::has(const std::string& key) const { return values_.contains(key); }

@@ -200,28 +200,60 @@ TEST(MetricsTest, SnapshotCarriesHistogramPercentiles) {
   EXPECT_EQ(data.buckets[3], 1u);
 }
 
-TEST(RegistryTest, HistogramPercentileDeltasIgnoreHistory) {
+TEST(RegistryTest, SinkHistogramPercentilesIgnoreHistory) {
   MetricsEnabledGuard guard(true);
   Histogram& histogram = registry().histogram("test.registry.hpd");
   histogram.reset();
-  histogram.record(1000);  // pre-baseline noise the deltas must not see
-  const MetricsSnapshot before = registry().snapshot();
+  histogram.record(1000);  // recorded before the sink; it must not see it
 
-  histogram.record(1);
-  histogram.record(1);
-  histogram.record(1);
-  histogram.record(8);  // bucket 4 (upper bound 15)
-  const MetricsSnapshot after = registry().snapshot();
+  MetricsCapture capture;
+  {
+    const ThreadMetricsSink sink;
+    histogram.record(1);
+    histogram.record(1);
+    histogram.record(1);
+    histogram.record(8);  // bucket 4 (upper bound 15)
+    capture.merge(sink);
+  }
+  const auto pctl = registry().resolve_histogram_percentiles(capture);
+  ASSERT_EQ(pctl.count("test.registry.hpd.p50"), 1u);
+  EXPECT_EQ(pctl.at("test.registry.hpd.p50"), 1u);   // rank 2 of 4
+  EXPECT_EQ(pctl.at("test.registry.hpd.p90"), 15u);  // rank 4
+  EXPECT_EQ(pctl.at("test.registry.hpd.p99"), 15u);
 
-  const auto deltas = histogram_percentile_deltas(before, after);
-  ASSERT_EQ(deltas.count("test.registry.hpd.p50"), 1u);
-  EXPECT_EQ(deltas.at("test.registry.hpd.p50"), 1u);   // rank 2 of 4
-  EXPECT_EQ(deltas.at("test.registry.hpd.p90"), 15u);  // rank 4
-  EXPECT_EQ(deltas.at("test.registry.hpd.p99"), 15u);
+  // A histogram that recorded nothing contributes nothing.
+  EXPECT_TRUE(
+      registry().resolve_histogram_percentiles(MetricsCapture{}).empty());
+}
 
-  // A histogram that did not grow contributes nothing.
-  const auto idle = histogram_percentile_deltas(after, after);
-  EXPECT_EQ(idle.count("test.registry.hpd.p50"), 0u);
+TEST(RegistryTest, CapturesFoldInAnyOrder) {
+  // Sweep chunks fold their sinks into the point's capture in completion
+  // order; the resolved counters and percentiles must not depend on it.
+  MetricsEnabledGuard guard(true);
+  Counter& counter = registry().counter("test.registry.fold");
+  Histogram& histogram = registry().histogram("test.registry.fold_h");
+  std::vector<MetricsCapture> chunks(3);
+  for (std::uint64_t c = 0; c < chunks.size(); ++c) {
+    const ThreadMetricsSink sink;
+    counter.add(c + 1);
+    for (std::uint64_t v = 0; v <= c * 10; ++v) histogram.record(v);
+    chunks[c].merge(sink);
+  }
+  MetricsCapture forward, backward;
+  for (const MetricsCapture& chunk : chunks) forward.merge(chunk);
+  for (auto it = chunks.rbegin(); it != chunks.rend(); ++it) {
+    backward.merge(*it);
+  }
+
+  const auto counters = registry().resolve_counter_deltas(forward);
+  EXPECT_EQ(counters.at("test.registry.fold"), 6u);
+  EXPECT_EQ(counters, registry().resolve_counter_deltas(backward));
+  EXPECT_EQ(registry().resolve_histogram_percentiles(forward),
+            registry().resolve_histogram_percentiles(backward));
+  EXPECT_EQ(
+      registry().resolve_histogram_percentiles(forward).at(
+          "test.registry.fold_h.p50"),
+      7u);  // 33 values (0; 0..10; 0..20): rank 17 lands in bucket 4..7
 }
 
 TEST(RegistryTest, SnapshotOrderIsLexicographic) {

@@ -52,9 +52,20 @@ TEST(CliTest, PositionalArgumentThrows) {
 }
 
 TEST(CliTest, MalformedNumberThrows) {
-  const Cli cli = parse({"--trials", "abc"}, kOpts);
-  EXPECT_THROW((void)cli.get_or("trials", std::uint64_t{0}),
-               std::invalid_argument);
+  // The whole token must parse: no trailing junk, no exponent or sign on an
+  // unsigned value, no wrap past 2^64, and doubles must be finite.
+  for (const char* bad : {"abc", "", "12abc", "1e3", "2x", "-3", "+3", " 7",
+                          "18446744073709551616"}) {
+    const Cli cli = parse({"--trials", bad}, kOpts);
+    EXPECT_THROW((void)cli.get_or("trials", std::uint64_t{0}),
+                 std::invalid_argument)
+        << "'" << bad << "'";
+  }
+  for (const char* bad : {"abc", "", "0.5x", "nan", "inf", "-inf", "1e999"}) {
+    const Cli cli = parse({"--seed", bad}, kOpts);
+    EXPECT_THROW((void)cli.get_or("seed", 0.0), std::invalid_argument)
+        << "'" << bad << "'";
+  }
 }
 
 TEST(CliTest, HelpFlag) {
@@ -68,6 +79,11 @@ TEST(CliTest, HelpFlag) {
 TEST(CliTest, DoubleValues) {
   const Cli cli = parse({"--seed", "0.25"}, kOpts);
   EXPECT_DOUBLE_EQ(cli.get_or("seed", 0.0), 0.25);
+  EXPECT_DOUBLE_EQ(parse({"--seed", "-1e-3"}, kOpts).get_or("seed", 0.0),
+                   -1e-3);
+  EXPECT_EQ(parse({"--trials", "18446744073709551615"}, kOpts)
+                .get_or("trials", std::uint64_t{0}),
+            18446744073709551615u);
 }
 
 }  // namespace

@@ -6,21 +6,22 @@
 //
 //   $ mcs_exp --figure fig1 --trials 2000 --seed 1
 //   $ mcs_exp --figure all --out artifacts --commit $(git rev-parse --short HEAD)
-//   $ mcs_exp --figure fig3,a1 --trials 500
+//   $ mcs_exp --figure fig3,a1 --trials 500 --jobs 4
 //
-// Each run writes <out>/<spec>.json (exact, bit-reproducible aggregates +
-// observability counters) and <out>/<spec>.csv.  An interrupted run leaves
-// <out>/<spec>.checkpoint.jsonl behind; re-running the same command resumes
-// from it and produces byte-identical artifacts.  tools/mcs_report renders
-// the committed docs from these artifacts.
+// Each run prints the spec's four panels and a per-scheme summary (unless
+// --quiet) and writes <out>/<spec>.json (exact, bit-reproducible
+// aggregates + observability counters) and <out>/<spec>.csv.  An
+// interrupted run leaves <out>/<spec>.checkpoint.jsonl behind; re-running
+// the same command resumes from it and produces byte-identical artifacts.
+// tools/mcs_report renders the committed docs from these artifacts.
 //
 // --trace <path> enables span tracing for the whole run and exports one
 // Chrome trace-event JSON (Perfetto-loadable) covering every layer:
-// exp.point spans from the sweeps, analysis/partitioner spans from the
-// placement work, and — because sweep points only run partitioning — a
-// short post-sweep "trace probe" that partitions and simulates one
-// workload so the engine spans and scheduling instants appear on the same
-// timeline.
+// exp.chunk/exp.point spans from the sweeps, analysis/partitioner spans
+// from the placement work, and — because sweep points only run
+// partitioning — a short post-sweep "trace probe" that partitions and
+// simulates one workload so the engine spans and scheduling instants
+// appear on the same timeline.
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -88,10 +89,9 @@ int main(int argc, char** argv) {
        {"list", "list the builtin specs and exit"},
        {"trials", "task sets per data point (default 2000)"},
        {"seed", "base RNG seed (default 1)"},
-       {"threads", "worker threads per point (default: hardware concurrency)"},
        {"jobs",
-        "run N sweep points concurrently (default 1; clamped to hardware "
-        "concurrency; artifacts are byte-identical for any N)"},
+        "sweep workers (default: hardware concurrency; clamped to it; "
+        "artifacts are byte-identical for any N)"},
        {"alpha", "CA-TPA imbalance threshold (default 0.7)"},
        {"full", "paper fidelity: 50000 task sets per point"},
        {"out", "artifacts directory (default: artifacts)"},
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
        {"trace",
         "enable span tracing and export a Chrome/Perfetto trace to this "
         "path"},
-       {"quiet", "suppress the console panels"}});
+       {"quiet", "suppress the console panels and summaries"}});
   if (cli.help_requested()) {
     std::cout << cli.usage("mcs_exp");
     return 0;
@@ -115,26 +115,30 @@ int main(int argc, char** argv) {
   }
 
   exp::SpecRunOptions options;
-  options.trials = cli.has("full") ? exp::kPaperTrials
-                                   : cli.get_or("trials", exp::kDefaultTrials);
-  options.seed = cli.get_or("seed", std::uint64_t{1});
-  options.threads =
-      static_cast<std::size_t>(cli.get_or("threads", std::uint64_t{0}));
-  options.alpha = cli.get_or("alpha", exp::kDefaultAlpha);
-  options.artifacts_dir = cli.get_or("out", std::string("artifacts"));
-  options.resume = !cli.has("no-resume");
-  options.collect_metrics = !cli.has("no-metrics");
-  options.stop_after_points =
-      static_cast<std::size_t>(cli.get_or("stop-after", std::uint64_t{0}));
-  options.source = cli.get_or("commit", std::string());
-
-  std::size_t jobs = 1;
   try {
-    jobs = svc::resolve_jobs(cli.get_or("jobs", std::uint64_t{1}));
+    options.trials = cli.has("full")
+                         ? exp::kPaperTrials
+                         : cli.get_or("trials", exp::kDefaultTrials);
+    options.seed = cli.get_or("seed", std::uint64_t{1});
+    options.threads = svc::resolve_jobs(
+        cli.get_or("jobs", std::uint64_t{util::default_thread_count()}));
+    options.alpha = cli.get_or("alpha", exp::kDefaultAlpha);
+    options.stop_after_points =
+        static_cast<std::size_t>(cli.get_or("stop-after", std::uint64_t{0}));
+    if (options.trials == 0) {
+      throw std::invalid_argument("--trials must be >= 1");
+    }
+    if (options.alpha < 0.0 || options.alpha > 1.0) {
+      throw std::invalid_argument("--alpha must lie in [0, 1]");
+    }
   } catch (const std::invalid_argument& e) {
     std::cerr << "mcs_exp: " << e.what() << '\n';
     return 1;
   }
+  options.artifacts_dir = cli.get_or("out", std::string("artifacts"));
+  options.resume = !cli.has("no-resume");
+  options.collect_metrics = !cli.has("no-metrics");
+  options.source = cli.get_or("commit", std::string());
 
   const std::vector<std::string> names =
       parse_spec_list(cli.get_or("figure", std::string("all")));
@@ -166,9 +170,7 @@ int main(int argc, char** argv) {
       std::cerr << "[" << spec->name << "] point " << done << "/" << total
                 << " done\n";
     };
-    const exp::SpecRunResult run =
-        jobs > 1 ? svc::run_spec_parallel(*spec, run_options, jobs)
-                 : run_spec(*spec, run_options);
+    const exp::SpecRunResult run = run_spec(*spec, run_options);
 
     if (run.resumed_points > 0) {
       std::cerr << "[" << spec->name << "] resumed " << run.resumed_points
@@ -182,6 +184,8 @@ int main(int argc, char** argv) {
     }
     if (!cli.has("quiet")) {
       print_figure(std::cout, run.result, spec->title);
+      std::cout << "\nSummary across the sweep:\n";
+      print_summary(std::cout, run.result);
       std::cout << '\n';
     }
     std::cerr << "[" << spec->name << "] artifacts: " << run.json_path << ", "
